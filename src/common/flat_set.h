@@ -95,6 +95,13 @@ class flat_set {
     return data_.erase(first, last);
   }
 
+  /// Erases every element satisfying `pred` in one pass (erase-remove);
+  /// the survivors keep their ascending order.
+  template <typename Pred>
+  void erase_if(Pred pred) {
+    data_.erase(std::remove_if(data_.begin(), data_.end(), pred), data_.end());
+  }
+
   friend bool operator==(const flat_set& a, const flat_set& b) {
     return a.data_ == b.data_;
   }

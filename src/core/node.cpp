@@ -886,12 +886,8 @@ bool node::is_member(node_id v) const {
 }
 
 void node::prune_unexplored() {
-  for (auto it = unexplored_.begin(); it != unexplored_.end();) {
-    if (*it == id_ || is_member(*it))
-      it = unexplored_.erase(it);
-    else
-      ++it;
-  }
+  unexplored_.erase_if(
+      [this](node_id v) { return v == id_ || is_member(v); });
 }
 
 void node::send_search(sim::context& ctx, node_id u) {

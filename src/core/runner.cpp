@@ -15,15 +15,17 @@ discovery_run::discovery_run(const graph::digraph& g, config cfg,
   merge_tracker_.net = &net_;
   merge_tracker_.user = cfg_.trace;
   cfg_.trace = &merge_tracker_;
-  std::map<node_id, std::size_t> sizes;
+  // Component sizes are aligned with g.nodes(); only bounded reads them.
+  std::vector<std::size_t> sizes;
   if (cfg_.algo == variant::bounded) sizes = g.weak_component_sizes();
   // g.nodes() is ascending, and every generator hands out ids 0..n-1, so
   // the network's slot indices coincide with ids (the dense fast path);
   // arbitrary id sets still work through the hash fallback.
   net_.reserve_nodes(g.node_count());
-  for (const node_id v : g.nodes()) {
-    const std::size_t csize =
-        cfg_.algo == variant::bounded ? sizes.at(v) : std::size_t{0};
+  const std::vector<node_id> ids = g.nodes();
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    const node_id v = ids[i];
+    const std::size_t csize = sizes.empty() ? std::size_t{0} : sizes[i];
     net_.add_node(v, std::make_unique<node>(v, cfg_, g.out(v), csize));
   }
   if (g.node_count() > 2) net_.set_id_bits(ceil_log2(g.node_count()));

@@ -5,9 +5,48 @@
 #include <stack>
 #include <stdexcept>
 
+#include "unionfind/dsu.h"
+
 namespace asyncrd::graph {
 
 const std::set<node_id> digraph::empty_set_{};
+
+namespace {
+
+std::vector<node_id> key_order(const std::map<node_id, std::set<node_id>>& adj) {
+  std::vector<node_id> ids;
+  ids.reserve(adj.size());
+  for (const auto& [v, outs] : adj) ids.push_back(v);
+  return ids;
+}
+
+/// Union-find over the undirected shadow of `adj`, on dense indices into
+/// its ascending key order (the order of digraph::nodes()).
+uf::dsu shadow_union_find(const std::map<node_id, std::set<node_id>>& adj) {
+  // Every generator hands out ids 0..n-1, where index == id; other id sets
+  // pay a binary search per edge endpoint.
+  const std::size_t n = adj.size();
+  const bool dense = n == 0 || adj.rbegin()->first == n - 1;
+  const std::vector<node_id> ids =
+      dense ? std::vector<node_id>{} : key_order(adj);
+  const auto index = [&](node_id v) -> std::size_t {
+    if (dense) return v;
+    return static_cast<std::size_t>(
+        std::lower_bound(ids.begin(), ids.end(), v) - ids.begin());
+  };
+  // Naive linking (find(u) under find(v), edges in ascending (u, v) order)
+  // fixes which member ends up as each component's root, and with it the
+  // component order weak_components() reports; see digraph.h.
+  uf::dsu uf(n, uf::link_policy::naive, uf::compress_policy::full);
+  std::size_t u = 0;
+  for (const auto& [id, outs] : adj) {
+    for (const node_id v : outs) uf.unite(u, index(v));
+    ++u;
+  }
+  return uf;
+}
+
+}  // namespace
 
 void digraph::add_node(node_id v) { adj_.try_emplace(v); }
 
@@ -31,46 +70,26 @@ const std::set<node_id>& digraph::out(node_id v) const {
   return it == adj_.end() ? empty_set_ : it->second;
 }
 
-std::vector<node_id> digraph::nodes() const {
-  std::vector<node_id> out;
-  out.reserve(adj_.size());
-  for (const auto& [v, outs] : adj_) out.push_back(v);
-  return out;
-}
+std::vector<node_id> digraph::nodes() const { return key_order(adj_); }
 
 std::vector<std::vector<node_id>> digraph::weak_components() const {
-  // Union-find over the undirected shadow of the graph.
-  std::map<node_id, node_id> parent;
-  for (const auto& [v, outs] : adj_) parent[v] = v;
-
-  const auto find = [&](node_id x) {
-    node_id root = x;
-    while (parent[root] != root) root = parent[root];
-    while (parent[x] != root) {
-      const node_id next = parent[x];
-      parent[x] = root;
-      x = next;
-    }
-    return root;
-  };
-
-  for (const auto& [u, outs] : adj_)
-    for (const node_id v : outs) parent[find(u)] = find(v);
-
-  std::map<node_id, std::vector<node_id>> groups;
-  for (const auto& [v, outs] : adj_) groups[find(v)].push_back(v);
-
-  std::vector<std::vector<node_id>> out;
-  out.reserve(groups.size());
-  for (auto& [root, members] : groups) {
-    std::sort(members.begin(), members.end());
-    out.push_back(std::move(members));
-  }
+  uf::dsu uf = shadow_union_find(adj_);
+  const std::size_t n = uf.size();
+  // Number the components by ascending root index, then fill each from the
+  // ascending node order, so every member list comes out sorted.
+  constexpr std::size_t none = ~std::size_t{0};
+  std::vector<std::size_t> slot(n, none);
+  std::size_t count = 0;
+  for (std::size_t i = 0; i < n; ++i)
+    if (uf.find(i) == i) slot[i] = count++;
+  std::vector<std::vector<node_id>> out(count);
+  std::size_t i = 0;
+  for (const auto& [v, outs] : adj_) out[slot[uf.find(i++)]].push_back(v);
   return out;
 }
 
 bool digraph::is_weakly_connected() const {
-  return adj_.size() <= 1 || weak_components().size() == 1;
+  return adj_.size() <= 1 || shadow_union_find(adj_).component_count() == 1;
 }
 
 std::vector<std::vector<node_id>> digraph::strong_components() const {
@@ -133,10 +152,13 @@ bool digraph::is_strongly_connected() const {
   return adj_.size() <= 1 || strong_components().size() == 1;
 }
 
-std::map<node_id, std::size_t> digraph::weak_component_sizes() const {
-  std::map<node_id, std::size_t> sizes;
-  for (const auto& comp : weak_components())
-    for (const node_id v : comp) sizes[v] = comp.size();
+std::vector<std::size_t> digraph::weak_component_sizes() const {
+  uf::dsu uf = shadow_union_find(adj_);
+  const std::size_t n = uf.size();
+  std::vector<std::size_t> per_root(n, 0);
+  for (std::size_t i = 0; i < n; ++i) ++per_root[uf.find(i)];
+  std::vector<std::size_t> sizes(n);
+  for (std::size_t i = 0; i < n; ++i) sizes[i] = per_root[uf.find(i)];
   return sizes;
 }
 

@@ -36,6 +36,12 @@ class digraph {
   std::vector<node_id> nodes() const;
 
   /// Weakly connected components (ignoring edge direction), each sorted.
+  ///
+  /// Component order is part of the contract: components come out in
+  /// ascending order of their union-find root, where the union-find links
+  /// find(u) under find(v) for every edge (u -> v) in ascending (u, v)
+  /// order.  That is *not* smallest-member order; the repairing generators
+  /// chain components in this order, so it fixes their edge sets.
   std::vector<std::vector<node_id>> weak_components() const;
 
   bool is_weakly_connected() const;
@@ -46,8 +52,9 @@ class digraph {
   bool is_strongly_connected() const;
 
   /// Component size per node (for the Bounded model, where "every node
-  /// knows the number of nodes in its weakly connected component").
-  std::map<node_id, std::size_t> weak_component_sizes() const;
+  /// knows the number of nodes in its weakly connected component"), aligned
+  /// with nodes(): entry i is the size of nodes()[i]'s component.
+  std::vector<std::size_t> weak_component_sizes() const;
 
  private:
   std::map<node_id, std::set<node_id>> adj_;

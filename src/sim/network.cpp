@@ -305,10 +305,16 @@ void network::unblock_sender(node_id id) {
   // The release is itself a causal fact: the adversary observed quiescence
   // (or the current activation) before letting these messages through.
   const std::uint64_t released_by = current_anchor();
-  // slot.out is sorted by destination id, so held channels release in the
-  // same (from, to) order the std::map implementation produced.
-  for (const std::uint32_t ci : slots_[idx].out) {
-    if (channels_[ci].unscheduled == 0) continue;
+  // Held channels release in ascending destination id, the (from, to)
+  // order the determinism suites pin; slot.out is in creation order.
+  std::vector<std::uint32_t> held_channels;
+  for (const std::uint32_t ci : slots_[idx].out)
+    if (channels_[ci].unscheduled != 0) held_channels.push_back(ci);
+  std::sort(held_channels.begin(), held_channels.end(),
+            [this](std::uint32_t a, std::uint32_t b) {
+              return channels_[a].to < channels_[b].to;
+            });
+  for (const std::uint32_t ci : held_channels) {
     // Pull the held tail out of the queue, then put each message on the
     // wire through the same choke point scheduled sends use — so release is
     // the second fault-injection point, and each held message gets its own
@@ -573,14 +579,10 @@ std::uint32_t network::channel_of(std::uint32_t from, std::uint32_t to) {
     channels_.back().fault_rng = rng(mix64(
         plan_.seed ^ fault_stream_salt ^ pack(slots_[from].id, slots_[to].id)));
   channel_index_.insert(key, ci);
-  // Insertion-sort into the sender's out-list by destination id: the list
-  // is consulted in id order by block/unblock (determinism) and stays tiny
-  // (out-degree of the knowledge graph).
-  auto& out = slots_[from].out;
-  const node_id to_id = slots_[to].id;
-  auto it = out.begin();
-  while (it != out.end() && channels_[*it].to < to_id) ++it;
-  out.insert(it, ci);
+  // Append only: a leader ends up with a channel to nearly every member, so
+  // keeping this list ordered here would cost O(out-degree) per new
+  // channel.  unblock_sender, the one reader that needs id order, sorts.
+  slots_[from].out.push_back(ci);
   return ci;
 }
 

@@ -637,9 +637,10 @@ class network : public transport {
     /// this short-circuits the channel hash probe on the common send.
     std::uint32_t last_to = ~std::uint32_t{0};
     std::uint32_t last_ci = 0;
-    /// Outgoing channel indices, kept sorted by destination *id* so the
-    /// adversarial release loop walks channels in the same (from, to) order
-    /// the std::map implementation did.
+    /// Outgoing channel indices in creation order (append-only, so a new
+    /// channel costs O(1) even when the sender talks to every node).  The
+    /// one reader that needs destination-id order, unblock_sender, sorts
+    /// the held channels itself.
     std::vector<std::uint32_t> out;
   };
 
@@ -652,7 +653,7 @@ class network : public transport {
   }
 
   /// Channel index for (from, to) slot indices, creating the channel (and
-  /// registering it in the sender's sorted out-list) on first use.
+  /// appending it to the sender's out-list) on first use.
   std::uint32_t channel_of(std::uint32_t from, std::uint32_t to);
 
   /// Channel index, or npos if the channel was never used.

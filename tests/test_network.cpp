@@ -284,6 +284,57 @@ TEST(Network, UnblockDelaysEachHeldMessageIndividually) {
     EXPECT_EQ(rec_ptr->received[static_cast<size_t>(i)].second, i);
 }
 
+// Sender out-lists are append-only (creation order); unblock_sender sorts
+// the held channels itself, so held traffic releases in ascending
+// destination id whatever order the channels were created in.
+TEST(Network, UnblockReleasesHeldChannelsInDestinationIdOrder) {
+  class fanout_process final : public sim::process {
+   public:
+    explicit fanout_process(std::vector<node_id> to) : to_(std::move(to)) {}
+    void on_wake(sim::context& ctx) override {
+      for (int round = 0; round < 2; ++round)
+        for (const node_id v : to_)
+          ctx.send(v, sim::make_message<tag_msg>(round * 100 + static_cast<int>(v)));
+    }
+    void on_message(sim::context&, node_id, const sim::message_ptr&) override {}
+
+   private:
+    std::vector<node_id> to_;
+  };
+  class logging_delay final : public sim::scheduler {
+   public:
+    sim::sim_time delay(node_id, node_id, const sim::message& m) override {
+      seen.push_back(static_cast<const tag_msg&>(m).value);
+      return 1;
+    }
+    std::vector<int> seen;
+  };
+  logging_delay sched;
+  sim::network net(sched);
+  const std::vector<node_id> creation_order{5, 3, 9, 2, 7};
+  net.add_node(1, std::make_unique<fanout_process>(creation_order));
+  std::vector<recorder_process*> receivers;
+  for (const node_id v : {2, 3, 5, 7, 9}) {
+    auto rec = std::make_unique<recorder_process>();
+    receivers.push_back(rec.get());
+    net.add_node(v, std::move(rec));
+  }
+  net.block_sender(1);
+  net.wake(1);
+  net.run_to_quiescence();
+  ASSERT_TRUE(sched.seen.empty());
+  net.unblock_sender(1);
+  // Channel by channel in destination-id order, FIFO within each channel.
+  EXPECT_EQ(sched.seen, (std::vector<int>{2, 102, 3, 103, 5, 105, 7, 107,
+                                          9, 109}));
+  net.run_to_quiescence();
+  for (recorder_process* rec : receivers) {
+    ASSERT_EQ(rec->received.size(), 2u);
+    EXPECT_EQ(rec->received[1].second, rec->received[0].second + 100);
+  }
+  EXPECT_TRUE(net.channels_empty());
+}
+
 // Regression (delay clamping): scheduler::delay's ">= 1" contract is
 // enforced in exactly one place (network::scheduled_delay).  Debug builds
 // assert; release builds clamp to 1 so simulated time stays strictly
