@@ -68,10 +68,11 @@ using message_ptr = std::shared_ptr<const message>;
 // returned to the heap.  The common case (send -> deliver -> drop, nothing
 // parked) becomes two pointer pops/pushes on a thread-local free list.
 //
-// The pool is thread-local, so parallel_sweep workers need no coordination;
-// a block freed on a different thread than it was allocated on simply
-// migrates to the freeing thread's pool (the memory itself is ordinary
-// operator-new memory, owned by no thread).
+// The pool is thread-local, so parallel_sweep workers need no coordination.
+// Each sweep job allocates and frees its messages on its own thread; a block
+// that is freed on another thread anyway (a message handed across threads)
+// simply migrates to the freeing thread's pool (the memory itself is
+// ordinary operator-new memory, owned by no thread).
 
 namespace pool_detail {
 

@@ -1,7 +1,7 @@
 // Trace-derived parallelism profile: how much concurrency a run contains.
 //
-// ROADMAP item 1 wants to shard a single run across worker threads.  The
-// causal trace already encodes the answer to "is that worth doing": two
+// Sharding a single run across worker threads pays only if the run is
+// wide.  The causal trace already encodes the answer to "is it": two
 // activations at the same virtual time are causally independent (every
 // channel delay is >= 1 time unit, so neither can have caused the other),
 // which makes the number of activations per virtual-time bucket — the
@@ -16,7 +16,9 @@
 //     (the classic Chandy–Misra null-message bound).
 //
 // Computed offline from tracer output (or a reloaded Perfetto trace) by
-// trace_analyze --parallelism; emitted as BENCH_parallelism.json.
+// trace_analyze --parallelism; emitted as BENCH_parallelism.json.  These
+// widths are why the simulator has no parallel single-run engine
+// (DESIGN.md §9).
 #pragma once
 
 #include <cstdint>

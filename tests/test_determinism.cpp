@@ -119,25 +119,32 @@ TEST(Determinism, WireModeIsObservationallyIdenticalToStructMode) {
   // wire.* counters excluded, a wire-mode run's full telemetry report —
   // stats, bit accounting, load histogram, state transitions — must equal
   // the struct-mode report byte for byte, for every variant.
-  const auto g = graph::random_weakly_connected(60, 120, 17);
-  for (const auto v : {variant::generic, variant::bounded, variant::adhoc}) {
-    const auto report_once = [&](bool wire) {
-      sim::random_delay_scheduler sched(17);
-      core::config cfg;
-      cfg.algo = v;
-      core::discovery_run run(g, cfg, sched);
-      if (wire) run.enable_wire();
-      run.wake_all();
-      const sim::run_result r = run.run();
-      EXPECT_TRUE(r.completed);
-      telemetry::run_report rep = telemetry::collect_run_report(run, r);
-      rep.wall_ms = 0.0;  // host clock
-      rep.events_per_sec = 0.0;
-      rep.wire = {};  // the only intended observable difference
-      return rep.to_json();
-    };
-    EXPECT_EQ(report_once(true), report_once(false))
-        << "variant " << static_cast<int>(v);
+  struct input {
+    std::size_t n, extra;
+    std::uint64_t seed;
+  };
+  for (const input in : {input{60, 120, 17}, input{50, 110, 13}}) {
+    const auto g = graph::random_weakly_connected(in.n, in.extra, in.seed);
+    for (const auto v : {variant::generic, variant::bounded, variant::adhoc}) {
+      const auto report_once = [&](bool wire) {
+        sim::random_delay_scheduler sched(in.seed);
+        core::config cfg;
+        cfg.algo = v;
+        core::discovery_run run(g, cfg, sched);
+        if (wire) run.enable_wire();
+        run.wake_all();
+        const sim::run_result r = run.run();
+        EXPECT_TRUE(r.completed);
+        telemetry::run_report rep = telemetry::collect_run_report(run, r);
+        rep.wall_ms = 0.0;  // host clock
+        rep.events_per_sec = 0.0;
+        EXPECT_EQ(rep.to_json().find("\"wire\"") != std::string::npos, wire);
+        rep.wire = {};  // the only intended observable difference
+        return rep.to_json();
+      };
+      EXPECT_EQ(report_once(true), report_once(false))
+          << "n " << in.n << " variant " << static_cast<int>(v);
+    }
   }
 }
 

@@ -23,7 +23,8 @@
 //
 // Tolerances (relative, e.g. 0.10 = ±10%), most specific wins:
 //   --tol LABEL=F           exact row label
-//   --tol-pattern SUBSTR=F  any label containing SUBSTR
+//   --tol-pattern SUBSTR=F  any label containing SUBSTR; a pattern that
+//                           matches no baseline row label is a usage error
 //   --default-tol F         everything else (default 0.10)
 // Wall-clock-ish metrics on shared CI hosts want generous patterns
 // (e.g. --tol-pattern events_per_sec=0.9); virtual-time metrics are
@@ -259,7 +260,8 @@ void print_help(std::ostream& os) {
         "  --default-tol F         relative tolerance (default 0.10)\n"
         "  --tol LABEL=F           per-row tolerance (exact label)\n"
         "  --tol-pattern SUBSTR=F  tolerance for labels containing SUBSTR\n"
-        "                          (first matching pattern wins)\n"
+        "                          (first matching pattern wins; a pattern\n"
+        "                          matching no baseline label is an error)\n"
         "\n"
         "exit codes:\n"
         "  0  all comparisons pass\n"
@@ -349,19 +351,43 @@ int main(int argc, char** argv) {
   const auto classify = [&](int code) {
     if (code != exit_ok && first_failure == exit_ok) first_failure = code;
   };
+  std::vector<std::optional<bench_file>> bases;
   for (const auto& [base_path, cur_path] : pairs) {
     int code = exit_ok;
-    const auto base = load(base_path, code);
-    if (!base.has_value()) {
-      classify(code);
-      continue;
+    bases.push_back(load(base_path, code));
+    classify(code);
+  }
+  // A --tol-pattern that matches no baseline row label gates nothing: the
+  // rows it was meant for silently fall back to the default tolerance.
+  // Checked only when every baseline loaded, so a label cannot hide in an
+  // unreadable file.
+  if (first_failure == exit_ok) {
+    for (const auto& [pat, t] : tol.by_pattern) {
+      const bool used = std::any_of(
+          bases.begin(), bases.end(), [&](const auto& base) {
+            return std::any_of(base->rows.begin(), base->rows.end(),
+                               [&](const auto& row) {
+                                 return row.first.find(pat) !=
+                                        std::string::npos;
+                               });
+          });
+      if (!used) {
+        std::cerr << "bench_diff: --tol-pattern " << pat << "=" << t
+                  << " matches no row label in any baseline\n";
+        return exit_usage;
+      }
     }
+  }
+  for (std::size_t i = 0; i < pairs.size(); ++i) {
+    if (!bases[i].has_value()) continue;
+    const auto& [base_path, cur_path] = pairs[i];
+    int code = exit_ok;
     const auto cur = load(cur_path, code);
     if (!cur.has_value()) {
       classify(code);
       continue;
     }
-    classify(diff(base_path, *base, cur_path, *cur, tol));
+    classify(diff(base_path, *bases[i], cur_path, *cur, tol));
   }
   return first_failure;
 }
